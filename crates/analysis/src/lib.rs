@@ -7,7 +7,7 @@
 //!
 //! Naming follows DESIGN.md's experiment index (`fig2_adoption`,
 //! `tab2_ns_category`, …), and every result type implements `Display`
-//! so the bench harness can print paper-style tables.
+//! so the CLI and the examples can print paper-style tables.
 //!
 //! Every analysis takes `&dyn ObservationSource` and streams the
 //! campaign day-by-day, so it runs identically over an in-memory

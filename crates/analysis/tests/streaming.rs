@@ -1,15 +1,19 @@
 //! Disk/memory equivalence for every trait-driven analysis: one
-//! campaign is run twice on identical worlds — once into in-memory
-//! [`scanner::SnapshotStore`]s, once write-through into the on-disk
-//! columnar store — and every analysis entry point must render a
-//! byte-identical report whether it streams from [`scanner::StoreReader`]s
-//! or walks the in-memory stores. This is the contract that makes the
-//! disk store a drop-in backend for multi-year campaigns.
+//! campaign is run on identical worlds — once into in-memory
+//! [`scanner::SnapshotStore`]s, and write-through into the on-disk
+//! columnar store in each chunk format — and every analysis entry point
+//! must render a byte-identical report whether it streams from
+//! [`scanner::StoreReader`]s or walks the in-memory stores. This is the
+//! contract that makes the disk store a drop-in backend for multi-year
+//! campaigns.
 
 use analysis::{adoption, dnssec_a, ech, providers, vantage_diff_parallel, vantage_diff_sources};
 use ecosystem::{EcosystemConfig, World};
 use resolver::VantagePoint;
-use scanner::{open_store, write_combined_csv, Campaign, ObservationSource, SnapshotStore};
+use scanner::{
+    open_store, write_combined_csv, Campaign, ObservationSource, SnapshotStore, StoreFormat,
+    StoreWriter,
+};
 use std::path::PathBuf;
 
 fn scratch() -> PathBuf {
@@ -80,43 +84,57 @@ fn every_analysis_is_byte_identical_from_disk_and_memory() {
     let mut world = World::build(config.clone());
     let stores: Vec<SnapshotStore> = campaign().run_vantages(&mut world);
 
-    // Identical campaign written through to disk.
-    let dir = scratch();
-    let mut world = World::build(config);
-    let writer_campaign = campaign();
-    let mut writer = writer_campaign.create_store(&world, &dir).expect("create store");
-    writer_campaign.run_to_store(&mut world, &mut writer).expect("write-through");
-    drop(writer);
-    let disk = open_store(&dir).expect("reopen");
-
-    // Per-vantage: every analysis display output must match exactly.
-    assert_eq!(disk.readers.len(), stores.len());
-    for (reader, store) in disk.readers.iter().zip(&stores) {
-        assert_eq!(
-            full_report(reader),
-            full_report(store),
-            "analysis reports diverged between disk and memory for vantage {}",
-            store.vantage()
-        );
-    }
-
-    // Cross-vantage: the diff report and the combined CSV view too.
-    let from_disk = vantage_diff_sources(&disk.sources()).to_string();
-    let in_memory = vantage_diff_sources(
-        &stores.iter().map(|s| s as &dyn ObservationSource).collect::<Vec<_>>(),
-    )
-    .to_string();
-    assert_eq!(from_disk, in_memory, "vantage_diff diverged between disk and memory");
-
-    let mut disk_csv = Vec::new();
-    write_combined_csv(&disk.sources(), &mut disk_csv).expect("disk csv");
+    let memory: Vec<&dyn ObservationSource> =
+        stores.iter().map(|s| s as &dyn ObservationSource).collect();
+    let in_memory = vantage_diff_sources(&memory).to_string();
     let memory_csv = scanner::combined_csv(&stores);
-    assert_eq!(
-        String::from_utf8(disk_csv).expect("utf8"),
-        memory_csv,
-        "combined CSV diverged between disk and memory"
-    );
-    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    // The identical campaign written through to disk, once per chunk
+    // format: the default compressed v2 and the raw v1 layout older
+    // builds wrote, both streamed back through the same reader.
+    for format in [StoreFormat::V2, StoreFormat::V1] {
+        let dir = scratch();
+        let mut world = World::build(config.clone());
+        let writer_campaign = campaign();
+        let meta = writer_campaign.store_meta(&world);
+        let mut writer = StoreWriter::create_with_format(&dir, meta, format).expect("create store");
+        writer_campaign.run_to_store(&mut world, &mut writer).expect("write-through");
+        drop(writer);
+        let disk = open_store(&dir).expect("reopen");
+
+        // Per-vantage: every analysis display output must match exactly.
+        assert_eq!(disk.readers.len(), stores.len());
+        for (reader, store) in disk.readers.iter().zip(&stores) {
+            assert_eq!(
+                full_report(reader),
+                full_report(store),
+                "analysis reports diverged between {format:?} disk and memory for vantage {}",
+                store.vantage()
+            );
+        }
+
+        // Cross-vantage: the diff report, sequential and parallel, and
+        // the combined CSV view too.
+        let from_disk = vantage_diff_sources(&disk.sources()).to_string();
+        assert_eq!(
+            from_disk, in_memory,
+            "vantage_diff diverged between {format:?} disk and memory"
+        );
+        let parallel = vantage_diff_parallel(&disk.sources()).to_string();
+        assert_eq!(
+            parallel, in_memory,
+            "vantage_diff_parallel diverged between {format:?} disk and memory"
+        );
+
+        let mut disk_csv = Vec::new();
+        write_combined_csv(&disk.sources(), &mut disk_csv).expect("disk csv");
+        assert_eq!(
+            String::from_utf8(disk_csv).expect("utf8"),
+            memory_csv,
+            "combined CSV diverged between {format:?} disk and memory"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }
 
 /// The parallel multi-vantage scan must reproduce the sequential diff

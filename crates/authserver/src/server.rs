@@ -465,12 +465,34 @@ mod tests {
 
     #[test]
     fn precompiled_serve_matches_reference_bytes() {
+        // Every shape the precompiled path serves: a plain answer, the
+        // DO-bit variant, an in-zone CNAME chase, and NXDOMAIN with the
+        // SOA — on the zone unsigned, then signed.
         let s = server_with_zone();
-        let q = Message::query(21, name("a.com"), RecordType::Https).encode();
-        let first = s.handle(&q, Timestamp(0)).unwrap(); // reference path, compiles
-        let cached = s.handle(&q, Timestamp(0)).unwrap(); // precompiled path
-        assert_eq!(first, cached);
+        let shapes = [
+            Message::query(21, name("a.com"), RecordType::Https).encode(),
+            Message::query_dnssec(22, name("a.com"), RecordType::Https).encode(),
+            Message::query(23, name("www.a.com"), RecordType::A).encode(),
+            Message::query(24, name("missing.a.com"), RecordType::A).encode(),
+        ];
+        for signed in [false, true] {
+            if signed {
+                s.zones()
+                    .with_zone(&name("a.com"), |z| {
+                        z.enable_signing(ZoneKeys::derive(&name("a.com"), 0), 0, u32::MAX - 1)
+                    })
+                    .unwrap();
+            }
+            for q in &shapes {
+                let reference = s.answer(&Message::decode(q).unwrap()).encode();
+                let cold = s.handle(q, Timestamp(0)).unwrap(); // reference path, compiles
+                let cached = s.handle(q, Timestamp(0)).unwrap(); // precompiled path
+                assert_eq!(cold, reference, "compile pass diverged (signed: {signed})");
+                assert_eq!(cached, reference, "cached pass diverged (signed: {signed})");
+            }
+        }
         // A different ID serves the same bytes with only the ID patched.
+        let first = s.handle(&shapes[0], Timestamp(0)).unwrap();
         let q2 = Message::query(0x55AA, name("a.com"), RecordType::Https).encode();
         let served = s.handle(&q2, Timestamp(0)).unwrap();
         assert_eq!(served[0..2], 0x55AAu16.to_be_bytes());

@@ -83,7 +83,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 const MANIFEST_MAGIC: [u8; 8] = *b"SNAPMAN1";
 const DICT_MAGIC: [u8; 8] = *b"SNAPORG1";
@@ -999,7 +998,6 @@ pub struct StoreWriter {
     dict_file: File,
     dict_names: Vec<String>,
     bytes_written: u64,
-    write_nanos: u64,
 }
 
 impl StoreWriter {
@@ -1012,8 +1010,9 @@ impl StoreWriter {
 
     /// Create a fresh store writing chunks in an explicit format.
     /// [`StoreFormat::V1`] reproduces the raw fixed-width layout of
-    /// older builds byte-for-byte — kept for the bench's
-    /// compressed-vs-raw comparison and the back-compat fixtures.
+    /// older builds byte-for-byte — kept so tests can build v1 stores for
+    /// the golden-fixture pin and the read-compat, compact and resume
+    /// checks.
     pub fn create_with_format(
         dir: &Path,
         meta: StoreMeta,
@@ -1061,7 +1060,6 @@ impl StoreWriter {
             dict_file,
             dict_names: Vec::new(),
             bytes_written: 0,
-            write_nanos: 0,
         })
     }
 
@@ -1143,7 +1141,6 @@ impl StoreWriter {
             dict_file,
             dict_names,
             bytes_written: 0,
-            write_nanos: 0,
         })
     }
 
@@ -1170,11 +1167,6 @@ impl StoreWriter {
     /// Bytes appended by this writer instance (chunks + dict entries).
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Wall-clock seconds spent in appends by this writer instance.
-    pub fn write_seconds(&self) -> f64 {
-        self.write_nanos as f64 / 1e9
     }
 
     /// Mirror the campaign's org interner into the on-disk dictionary.
@@ -1246,13 +1238,11 @@ impl StoreWriter {
                 format!("observation stamped day {} in a chunk for day {day}", bad.day),
             ));
         }
-        let start = Instant::now();
         let file = &mut self.files[vantage];
         let header_offset = file.seek(SeekFrom::End(0))?;
         let (buf, chunk) = encode_chunk(self.format, day, obs, header_offset);
         file.write_all(&buf)?;
         file.flush()?;
-        self.write_nanos += start.elapsed().as_nanos() as u64;
         self.bytes_written += buf.len() as u64;
         self.indexes[vantage].push(chunk);
         Ok(())
