@@ -292,24 +292,21 @@ fn plain_lowercase_byte(b: u8) -> bool {
 
 impl DatagramService for AuthoritativeServer {
     fn handle(&self, request: &[u8], _now: Timestamp) -> Result<Vec<u8>, NetError> {
+        // Unparseable datagram: a real server answers FORMERR when it can
+        // extract an id; we drop, which the caller sees as a reset.
+        let Ok(view) = MessageView::parse(request) else {
+            return Err(NetError::Reset);
+        };
         // Fast path: lookup + memcpy + 2-byte ID patch, no record
         // decoding or wire assembly.
-        if let Ok(view) = MessageView::parse(request) {
-            if let Some(bytes) = self.serve_precompiled(&view) {
-                return Ok(bytes);
-            }
+        if let Some(bytes) = self.serve_precompiled(&view) {
+            return Ok(bytes);
         }
-        // Reference path: full decode, answer assembly, encode. Also
-        // compiles the rendered bytes so the next identical query shape
-        // is served from cache.
-        let query = match Message::decode(request) {
-            Ok(m) => m,
-            Err(_) => {
-                // Unparseable datagram: a real server answers FORMERR when
-                // it can extract an id; we drop, which the caller sees as
-                // a reset.
-                return Err(NetError::Reset);
-            }
+        // Reference path: full decode (`Message::decode` of the parsed
+        // view), answer assembly, encode. Also compiles the rendered bytes
+        // so the next identical query shape is served from cache.
+        let Ok(query) = view.to_message() else {
+            return Err(NetError::Reset);
         };
         let compile_ctx = self.compile_context(&query);
         let wire = self.answer(&query).encode();

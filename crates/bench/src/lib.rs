@@ -1,9 +1,9 @@
 //! Shared setup for the benchmark/regeneration harness.
 //!
 //! Every bench binary regenerates its paper tables/figures by printing
-//! them at startup (the `cargo bench` output therefore doubles as the
-//! experiment log recorded in EXPERIMENTS.md), then benchmarks the
-//! pipeline stages that produce them.
+//! them at startup (so the `cargo bench` output doubles as an experiment
+//! log), then benchmarks the pipeline stages that produce them. The
+//! end-to-end benchmark is `perfbench/` (see `perfbench/README.md`).
 
 use httpsrr::ecosystem::EcosystemConfig;
 use httpsrr::Study;

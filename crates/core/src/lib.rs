@@ -21,8 +21,8 @@
 //! assert!(adoption.dynamic_apex.mean() > 5.0);
 //! ```
 //!
-//! The module tree mirrors the system layers; see DESIGN.md for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! The module tree mirrors the system layers; README.md maps the crates
+//! and gives the commands that run each surface.
 
 #![warn(missing_docs)]
 

@@ -711,23 +711,6 @@ impl Record {
         w.patch_u16(len_at, rdlen as u16);
     }
 
-    /// Decode one record at the reader's position.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<Record, WireError> {
-        let name = r.read_name()?;
-        let rtype = RecordType::from_code(r.read_u16()?);
-        let class = DnsClass::from_code(r.read_u16()?);
-        let ttl = r.read_u32()?;
-        let rdlen = r.read_u16()? as usize;
-        let start = r.position();
-        if r.remaining() < rdlen {
-            return Err(WireError::Truncated { context: "rdata" });
-        }
-        let whole = r.whole();
-        let rdata = RData::decode(rtype, (start, start + rdlen), whole)?;
-        r.seek(start + rdlen)?;
-        Ok(Record { name, rtype, class, ttl, rdata })
-    }
-
     /// Zone-file presentation line.
     pub fn to_presentation(&self) -> String {
         let mut out = String::new();
@@ -753,16 +736,23 @@ impl fmt::Display for Record {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::Message;
     use crate::svcb::SvcParam;
 
+    /// A response carrying `rec` as its only answer, without EDNS, so
+    /// the record is the tail of the encoded message.
+    fn carrier(rec: &Record) -> Message {
+        let mut msg = Message::query(1, name("q.test"), rec.rtype).response();
+        msg.edns = None;
+        msg.answers.push(rec.clone());
+        msg
+    }
+
+    /// Round-trip `rec` through a whole message: decoding is message-level.
     fn rt(rec: &Record) -> Record {
-        let mut w = WireWriter::new();
-        rec.encode(&mut w);
-        let buf = w.into_bytes();
-        let mut r = WireReader::new(&buf);
-        let back = Record::decode(&mut r).unwrap();
-        assert_eq!(r.remaining(), 0, "trailing bytes after record");
-        back
+        let mut back = Message::decode(&carrier(rec).encode()).unwrap();
+        assert_eq!(back.answers.len(), 1);
+        back.answers.pop().unwrap()
     }
 
     fn name(s: &str) -> DnsName {
@@ -918,29 +908,36 @@ mod tests {
 
     #[test]
     fn truncated_rdata_rejected() {
+        // Every cut inside the answer record (owner, fixed fields, RDATA)
+        // leaves the message short of what ANCOUNT promises.
         let rec = Record::new(name("a.com"), 300, RData::A(Ipv4Addr::new(1, 2, 3, 4)));
-        let mut w = WireWriter::new();
-        rec.encode(&mut w);
-        let buf = w.into_bytes();
-        for cut in 1..buf.len() {
-            let mut r = WireReader::new(&buf[..cut]);
-            assert!(Record::decode(&mut r).is_err(), "cut at {cut} should fail");
+        let mut msg = carrier(&rec);
+        let buf = msg.encode();
+        msg.answers.clear();
+        let record_start = msg.encode().len();
+        for cut in record_start..buf.len() {
+            assert!(Message::decode(&buf[..cut]).is_err(), "cut at {cut} should fail");
         }
     }
 
     #[test]
     fn bad_a_length_rejected() {
-        // Hand-encode an A record with 3-byte RDATA.
+        // Hand-encode an A record with 3-byte RDATA as the only answer.
+        let mut msg = Message::query(1, name("x.com"), RecordType::A).response();
+        msg.edns = None;
         let mut w = WireWriter::new();
-        w.put_name(&name("x.com"));
+        w.put_bytes(&msg.encode());
+        w.patch_u16(6, 1); // ANCOUNT
+        w.put_name_uncompressed(&name("x.com"));
         w.put_u16(RecordType::A.code());
         w.put_u16(DnsClass::In.code());
         w.put_u32(60);
         w.put_u16(3);
         w.put_bytes(&[1, 2, 3]);
-        let buf = w.into_bytes();
-        let mut r = WireReader::new(&buf);
-        assert!(Record::decode(&mut r).is_err());
+        assert_eq!(
+            Message::decode(&w.into_bytes()),
+            Err(WireError::InvalidValue { context: "A rdata" })
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Borrowed message views: one validation pass over a datagram, then
 //! lazy, zero-copy access to names and RDATA.
 //!
-//! [`MessageView`] is the borrowed counterpart of
-//! [`Message::decode`](crate::Message::decode). Parsing locates the
+//! [`MessageView`] is the crate's one message parser:
+//! [`Message::decode`](crate::Message::decode) is [`MessageView::parse`]
+//! followed by [`MessageView::to_message`]. Parsing locates the
 //! header fields and the offsets of every question and resource record
 //! in a single pass — names are *validated* (same structural rules as
 //! [`DnsName::decode_at`]) but never materialized into `Vec<Vec<u8>>`,
@@ -15,12 +16,7 @@
 //!   record's subrange;
 //! - `to_owned()` escape hatches ([`NameView::to_owned`],
 //!   [`RecordView::to_owned`], [`MessageView::to_message`]) produce the
-//!   owned types so existing `Message` consumers can migrate
-//!   incrementally.
-//!
-//! On any buffer where [`MessageView::parse`] and
-//! [`MessageView::to_message`] both succeed, the resulting [`Message`]
-//! equals `Message::decode` of the same bytes (pinned by proptest).
+//!   owned types for `Message` consumers.
 
 use crate::error::WireError;
 use crate::message::{Edns, Flags, Message, Opcode, Question, Rcode};
@@ -328,8 +324,8 @@ fn read_u32_at(buf: &[u8], at: usize, context: &'static str) -> Result<u32, Wire
 
 impl<'a> MessageView<'a> {
     /// Parse the message structure in one pass: header fields, question
-    /// and record offsets, EDNS extraction (extended RCODE merged as in
-    /// [`Message::decode`]). Names are validated but not materialized;
+    /// and record offsets, EDNS extraction (a non-zero extended RCODE is
+    /// merged into the header RCODE). Names are validated but not materialized;
     /// RDATA contents are not inspected. Rejects trailing bytes.
     pub fn parse(buf: &'a [u8]) -> Result<MessageView<'a>, WireError> {
         if buf.len() < 12 {
@@ -383,8 +379,8 @@ impl<'a> MessageView<'a> {
             }
             pos = rd_end;
             // OPT pseudo-records in the additional section become EDNS
-            // state, exactly as in `Message::decode` (last one wins; a
-            // non-zero extended RCODE merges with the header RCODE).
+            // state (last one wins; a non-zero extended RCODE merges with
+            // the header RCODE).
             if i >= ancount + nscount && rtype == RecordType::Opt.code() {
                 let e = Edns {
                     udp_payload_size: class,
@@ -498,10 +494,9 @@ impl<'a> MessageView<'a> {
             .map(|m| RecordView { buf: self.buf, meta: *m })
     }
 
-    /// Materialize an owned [`Message`], decoding every name and RDATA.
-    /// Equal to [`Message::decode`] of the same buffer whenever both
-    /// succeed; fails only on RDATA that `Message::decode` would also
-    /// reject (the structure was validated by [`MessageView::parse`]).
+    /// Materialize an owned [`Message`], decoding every name and RDATA
+    /// (the second half of [`Message::decode`]). Fails only on malformed
+    /// RDATA: the structure was validated by [`MessageView::parse`].
     pub fn to_message(&self) -> Result<Message, WireError> {
         let mut questions = Vec::with_capacity(self.questions.len());
         for q in self.questions() {

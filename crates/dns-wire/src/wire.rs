@@ -42,11 +42,6 @@ impl<'a> WireReader<'a> {
         self.buf.len().saturating_sub(self.pos)
     }
 
-    /// The whole underlying buffer (used by name decompression).
-    pub fn whole(&self) -> &'a [u8] {
-        self.buf
-    }
-
     /// Move the cursor to an absolute offset.
     pub fn seek(&mut self, pos: usize) -> Result<(), WireError> {
         if pos > self.buf.len() {

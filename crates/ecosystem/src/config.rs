@@ -3,8 +3,8 @@
 //!
 //! All rates are per-domain probabilities, so every analysis that
 //! reports a *ratio* is scale-invariant; analyses that report *counts*
-//! (e.g. Table 3's provider counts) use the `noncf_*` absolute knobs and
-//! EXPERIMENTS.md documents the scaling.
+//! (e.g. Table 3's provider counts) use the absolute `noncf_*` knobs,
+//! which do not scale with `population`.
 
 /// Landmark days of the study, as day offsets from 2023-05-08 (day 0).
 #[derive(Debug, Clone, Copy)]

@@ -57,10 +57,13 @@ pub trait StreamService: Send + Sync {
     fn exchange(&self, message: &[u8], now: Timestamp) -> Result<Vec<u8>, NetError>;
 }
 
+/// Services bound by `(IpAddr, port)`.
+type Bindings<S> = HashMap<(IpAddr, u16), Arc<S>>;
+
 #[derive(Default)]
 struct NetworkState {
-    datagram: HashMap<(IpAddr, u16), Arc<dyn DatagramService>>,
-    stream: HashMap<(IpAddr, u16), Arc<dyn StreamService>>,
+    datagram: Bindings<dyn DatagramService>,
+    stream: Bindings<dyn StreamService>,
     unreachable: HashSet<IpAddr>,
 }
 
@@ -212,6 +215,27 @@ impl Network {
         self.state.read().unreachable.contains(&ip)
     }
 
+    /// The service bound at `dst:port` in the `bindings` table, under a
+    /// read lock. A blackholed IP or an unbound port counts one connect
+    /// failure and yields its error.
+    fn endpoint<S: ?Sized>(
+        &self,
+        dst: IpAddr,
+        port: u16,
+        bindings: fn(&NetworkState) -> &Bindings<S>,
+    ) -> Result<Arc<S>, NetError> {
+        let st = self.state.read();
+        let found = if st.unreachable.contains(&dst) {
+            Err(NetError::Unreachable(dst))
+        } else {
+            bindings(&st).get(&(dst, port)).cloned().ok_or(NetError::ConnectionRefused(dst, port))
+        };
+        if found.is_err() {
+            self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
     /// Send one datagram and wait for the response. Only takes a read
     /// lock on the topology, so parallel senders do not serialize.
     pub fn send_datagram(
@@ -221,20 +245,7 @@ impl Network {
         payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
         self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
-        let svc = {
-            let st = self.state.read();
-            if st.unreachable.contains(&dst) {
-                self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(NetError::Unreachable(dst));
-            }
-            match st.datagram.get(&(dst, port)) {
-                Some(svc) => Arc::clone(svc),
-                None => {
-                    self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(NetError::ConnectionRefused(dst, port));
-                }
-            }
-        };
+        let svc = self.endpoint(dst, port, |st| &st.datagram)?;
         let now = self.clock.now();
         let resp = svc.handle(payload, now)?;
         self.stats.datagrams_answered.fetch_add(1, Ordering::Relaxed);
@@ -258,19 +269,9 @@ impl Network {
         attempt: u32,
     ) -> ScheduledDelivery {
         self.stats.datagrams_sent.fetch_add(1, Ordering::Relaxed);
-        let svc = {
-            let st = self.state.read();
-            if st.unreachable.contains(&dst) {
-                self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                return ScheduledDelivery::Failed(NetError::Unreachable(dst));
-            }
-            match st.datagram.get(&(dst, port)) {
-                Some(svc) => Arc::clone(svc),
-                None => {
-                    self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return ScheduledDelivery::Failed(NetError::ConnectionRefused(dst, port));
-                }
-            }
+        let svc = match self.endpoint(dst, port, |st| &st.datagram) {
+            Ok(svc) => svc,
+            Err(e) => return ScheduledDelivery::Failed(e),
         };
         let model = self.latency_model();
         match model.fate(dst, payload, attempt) {
@@ -299,20 +300,7 @@ impl Network {
         message: &[u8],
     ) -> Result<Vec<u8>, NetError> {
         self.stats.streams_opened.fetch_add(1, Ordering::Relaxed);
-        let svc = {
-            let st = self.state.read();
-            if st.unreachable.contains(&dst) {
-                self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(NetError::Unreachable(dst));
-            }
-            match st.stream.get(&(dst, port)) {
-                Some(svc) => Arc::clone(svc),
-                None => {
-                    self.stats.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(NetError::ConnectionRefused(dst, port));
-                }
-            }
-        };
+        let svc = self.endpoint(dst, port, |st| &st.stream)?;
         let now = self.clock.now();
         let resp = svc.exchange(message, now)?;
         self.stats.streams_completed.fetch_add(1, Ordering::Relaxed);

@@ -39,6 +39,16 @@
 //!
 //! ## Batch semantics and the determinism contract
 //!
+//! Every distinct query of a batch runs the one resolution core
+//! (`RecursiveResolver::resolve_with`), driven one of two ways by the
+//! config's [`EngineBackend`]: the pooled backend calls
+//! [`RecursiveResolver::resolve`] on its workers, which completes the
+//! core in one poll over the lossless synchronous exchange; the event
+//! loop ([`crate::eventloop`]) suspends the core on scheduled,
+//! possibly lost or late, exchanges in virtual time. The backends
+//! differ only in transport, so on the zero-latency model they agree
+//! byte for byte.
+//!
 //! `resolve_batch(queries, threads)` returns one result per input query,
 //! **in input order**, and is deterministic in the following sense:
 //!
@@ -177,7 +187,6 @@ struct SingleQueryMetrics {
 /// The shared, batch-capable resolution engine.
 pub struct QueryEngine {
     resolver: Arc<RecursiveResolver>,
-    backend: EngineBackend,
     metrics: Option<Arc<MetricsRegistry>>,
     single: Option<SingleQueryMetrics>,
     /// The persistent batch workers (module docs): empty until the first
@@ -206,10 +215,8 @@ impl QueryEngine {
     /// Wrap an existing shared resolver (e.g. one also bound to the
     /// network as a public-resolver datagram service).
     pub fn from_resolver(resolver: Arc<RecursiveResolver>) -> QueryEngine {
-        let backend = resolver.config().backend;
         QueryEngine {
             resolver,
-            backend,
             metrics: None,
             single: None,
             pool: Mutex::new(WorkerPool::new()),
@@ -217,16 +224,10 @@ impl QueryEngine {
         }
     }
 
-    /// Select the batch backend (builder style), overriding whatever the
-    /// resolver config chose.
-    pub fn with_backend(mut self, backend: EngineBackend) -> QueryEngine {
-        self.backend = backend;
-        self
-    }
-
-    /// The batch backend this engine dispatches to.
+    /// The batch backend this engine dispatches to (the resolver
+    /// config's [`ResolverConfig::backend`]).
     pub fn backend(&self) -> EngineBackend {
-        self.backend
+        self.resolver.config().backend
     }
 
     /// Number of live pool workers (0 until the first multi-threaded
@@ -336,7 +337,7 @@ impl QueryEngine {
             vec![None; distinct.len()];
         let mut timing: Option<BatchTiming> = None;
 
-        if self.backend == EngineBackend::EventLoop {
+        if self.backend() == EngineBackend::EventLoop {
             // Per-zone serialization groups: the same partition key the
             // pooled path buckets on (authoritative apex of each name),
             // interned to dense ids in first-appearance order.

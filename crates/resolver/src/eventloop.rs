@@ -1,16 +1,25 @@
 //! The virtual-time event-loop resolution backend.
 //!
-//! One worker thread drives every in-flight query of a batch to
-//! completion as a per-query state machine (a hand-rolled future): send
-//! → await reply or timeout → retransmit within the configured budget →
-//! fall back to the next NS in the existing [`NsSelector`] order. Sends
-//! go through [`Network::send_datagram_scheduled`], so each exchange is
-//! a *scheduled delivery* in virtual milliseconds; the loop owns the one
-//! timer queue (a `BinaryHeap` keyed by `(delivery instant, sequence)`)
-//! and advances the shared [`SimClock`](netsim::SimClock) monotonically
-//! as it pops events. Nothing here spawns a thread and nothing blocks:
-//! with a 20 ms RTT model, thousands of queries overlap their waits and
-//! a 3600-query batch finishes in a handful of virtual RTTs.
+//! Recursive resolution is written once, as the async core
+//! `RecursiveResolver::resolve_with` over an `Exchange` seam (how one
+//! authority attempt travels), and driven two ways:
+//!
+//! - [`RecursiveResolver::resolve`] (and with it the pooled backend and
+//!   `QueryEngine::resolve`) polls the core once over an always-ready
+//!   exchange on [`Network::send_datagram`]. That path is lossless and
+//!   never times out, so the ladder below never fires there.
+//! - `drive` here runs the core for every in-flight query of a batch
+//!   on one thread, over a `TaskCtx` exchange that sends through
+//!   [`Network::send_datagram_scheduled`]. Each attempt becomes a
+//!   *scheduled delivery* in virtual milliseconds, or a timeout at the
+//!   attempt deadline, and the core's timeout → retransmit → NS-fallback
+//!   ladder (over the [`NsSelector`](crate::NsSelector) order) is live.
+//!   The loop owns the one timer queue (a `BinaryHeap` keyed by
+//!   `(delivery instant, sequence)`) and advances the shared
+//!   [`SimClock`](netsim::SimClock) monotonically as it pops events.
+//!   Nothing spawns a thread and nothing blocks: with a 20 ms RTT model,
+//!   thousands of queries overlap their waits and a 3600-query batch
+//!   finishes in a handful of virtual RTTs.
 //!
 //! ## Determinism and WorkerPool equivalence
 //!
@@ -30,18 +39,15 @@
 //! of *distinct zones* in flight, which is the scanner's natural shape
 //! (one zone per scanned apex).
 //!
-//! DNSSEC chain fetches (DNSKEY/DS) issued mid-validation use the
-//! synchronous zero-latency network path, exactly as the `WorkerPool`
-//! backend does — a documented simplification: the latency model shapes
-//! the *measurement* queries (HTTPS/A/NS and CNAME chases), not the
+//! DNSSEC chain fetches (DNSKEY/DS) issued mid-validation run the same
+//! authority round over the synchronous exchange on both paths — a
+//! documented simplification: the latency model shapes the
+//! *measurement* queries (HTTPS/A/NS and CNAME chases), not the
 //! validation walk.
 
 use crate::engine::Query;
-use crate::resolver::{
-    extract_rrset, extract_rrsigs, AuthorityReply, RecursiveResolver, Resolution, ResolveError,
-};
-use dns_wire::{DnsName, Message, RData, Rcode, RecordType};
-use netsim::{NetError, ScheduledDelivery, TimeMs};
+use crate::resolver::{Exchange, RecursiveResolver, Resolution, ResolveError};
+use netsim::{NetError, Network, ScheduledDelivery, TimeMs};
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -49,8 +55,7 @@ use std::future::Future;
 use std::net::IpAddr;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 /// Deterministic outcome counters for one event-loop batch: every field
 /// is derived from seeded virtual-time outcomes, so all of them sit on
@@ -171,35 +176,31 @@ impl Future for ExchangeFuture {
     }
 }
 
-/// Readiness is driver-managed (the loop knows exactly which task each
-/// popped event unblocks), so wakeups have nothing to do.
-struct NoopWake;
-impl Wake for NoopWake {
-    fn wake(self: Arc<Self>) {}
-}
-
-/// Per-task handle into the loop: schedules exchanges and records the
-/// task's outcome counters.
-struct TaskCtx {
+/// The event loop's [`Exchange`]: a per-task handle that schedules each
+/// attempt in virtual time and records the task's outcome counters.
+struct TaskCtx<'a> {
     core: Rc<Core>,
-    resolver: Arc<RecursiveResolver>,
+    network: &'a Network,
     stats: Rc<RefCell<EventLoopStats>>,
     task: usize,
     attempt_timeout_ms: u64,
-    retransmits: u32,
 }
 
-impl TaskCtx {
+impl Exchange for TaskCtx<'_> {
     /// Send one datagram and obtain the future of its reply. The fate is
     /// decided now (the network computes replies eagerly); what the
     /// future models is *when* the task may look: a surviving reply at
     /// its delivery instant, anything else as a timeout at the deadline.
-    fn exchange(&self, ip: IpAddr, wire: &[u8], attempt: u32) -> ExchangeFuture {
-        let network = self.resolver.network();
-        let now = network.clock().now_ms();
+    fn exchange(
+        &self,
+        ip: IpAddr,
+        wire: &[u8],
+        attempt: u32,
+    ) -> impl Future<Output = Result<Vec<u8>, NetError>> {
+        let now = self.network.clock().now_ms();
         let deadline = now.plus(self.attempt_timeout_ms);
         let slot = Rc::new(RefCell::new(SlotState::Pending));
-        match network.send_datagram_scheduled(ip, 53, wire, attempt) {
+        match self.network.send_datagram_scheduled(ip, 53, wire, attempt) {
             ScheduledDelivery::Failed(e) => {
                 // Synchronous failure (unreachable/refused): ready
                 // immediately, zero virtual time — same as the sync path.
@@ -221,158 +222,10 @@ impl TaskCtx {
         }
         ExchangeFuture { slot }
     }
-}
 
-/// Async mirror of [`RecursiveResolver::query_authority`]: same
-/// selection, same Refused/Malformed/network-error classification, plus
-/// the timeout → retransmit → NS-fallback ladder that only exists in
-/// virtual time. On the zero-latency model no attempt can time out, so
-/// the observable exchange sequence is identical to the sync path.
-async fn query_authority_async(
-    ctx: &TaskCtx,
-    name: &DnsName,
-    rtype: RecordType,
-) -> Result<AuthorityReply, ResolveError> {
-    let r = &ctx.resolver;
-    let (apex, endpoints) =
-        r.registry().find_authority(name).ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
-    let order = r.selector().pick_order(&apex.key(), &endpoints);
-    if order.is_empty() {
-        return Err(ResolveError::NoAuthority(name.clone()));
+    fn tally(&self, rung: fn(&mut EventLoopStats)) {
+        rung(&mut self.stats.borrow_mut());
     }
-    let id = r.next_query_id();
-    let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
-    let mut last_err = ResolveError::Lame(apex.clone());
-    let mut timed_out_total = 0u32;
-    for (ep_index, ep) in order.iter().enumerate() {
-        if ep_index > 0 {
-            ctx.stats.borrow_mut().ns_fallbacks += 1;
-        }
-        let mut attempt = 0u32;
-        loop {
-            match ctx.exchange(ep.ip, &wire, attempt).await {
-                Ok(bytes) => match AuthorityReply::parse(&bytes) {
-                    Some(resp) if resp.rcode == Rcode::Refused => {
-                        last_err = ResolveError::Lame(apex.clone());
-                        break;
-                    }
-                    Some(resp) => return Ok(resp),
-                    None => {
-                        last_err = ResolveError::Malformed;
-                        break;
-                    }
-                },
-                Err(NetError::Timeout) => {
-                    ctx.stats.borrow_mut().timeouts += 1;
-                    timed_out_total += 1;
-                    last_err =
-                        ResolveError::Timeout { zone: apex.clone(), attempts: timed_out_total };
-                    if attempt >= ctx.retransmits {
-                        break; // budget exhausted: fall back to the next NS
-                    }
-                    attempt += 1;
-                    ctx.stats.borrow_mut().retransmits += 1;
-                }
-                Err(e) => {
-                    last_err = ResolveError::Network(e);
-                    break;
-                }
-            }
-        }
-    }
-    Err(last_err)
-}
-
-/// Async mirror of [`RecursiveResolver::resolve`]: cache lookups, CNAME
-/// chasing, negative caching, and the `finish`/validation step are the
-/// *same code* (synchronous methods on the resolver); only the
-/// authoritative round is awaited through the event loop.
-async fn resolve_async(
-    ctx: TaskCtx,
-    name: DnsName,
-    rtype: RecordType,
-) -> Result<Resolution, ResolveError> {
-    use crate::cache::CachedAnswer;
-    let r = Arc::clone(&ctx.resolver);
-    let now = r.network().clock().now();
-    let mut chain = Vec::new();
-    let mut current = name;
-    let mut from_cache = true;
-
-    for _ in 0..=r.config().max_cname_chain {
-        if let Some(ans) = r.cache().get(&current, rtype, now) {
-            return Ok(r.finish(chain, ans, from_cache, now));
-        }
-        if rtype != RecordType::Cname {
-            if let Some(CachedAnswer::Positive { records, .. }) =
-                r.cache().get(&current, RecordType::Cname, now)
-            {
-                if let Some(rec) = records.first() {
-                    if let RData::Cname(target) = &rec.rdata {
-                        chain.push(rec.clone());
-                        current = target.clone();
-                        continue;
-                    }
-                }
-            }
-        }
-        from_cache = false;
-
-        let resp = query_authority_async(&ctx, &current, rtype).await?;
-        match resp.rcode {
-            Rcode::NoError => {}
-            Rcode::NxDomain => {
-                let ttl = resp.negative_ttl(r.config().default_negative_ttl);
-                r.cache().insert_negative(&current, rtype, Rcode::NxDomain, ttl, now);
-                return Ok(Resolution {
-                    chain,
-                    records: Vec::new(),
-                    rrsigs: Vec::new(),
-                    rcode: Rcode::NxDomain,
-                    validation: None,
-                    from_cache: false,
-                });
-            }
-            other => {
-                return Ok(Resolution {
-                    chain,
-                    records: Vec::new(),
-                    rrsigs: Vec::new(),
-                    rcode: other,
-                    validation: None,
-                    from_cache: false,
-                });
-            }
-        }
-
-        r.cache_answer_sections(&resp.answers, now);
-
-        let records = extract_rrset(&resp.answers, &current, rtype);
-        if !records.is_empty() {
-            let rrsigs = extract_rrsigs(&resp.answers, &current, rtype);
-            return Ok(r.finish(chain, CachedAnswer::Positive { records, rrsigs }, false, now));
-        }
-        let cname =
-            resp.answers.iter().find(|rec| rec.rtype == RecordType::Cname && rec.name == current);
-        if let Some(rec) = cname {
-            if let RData::Cname(target) = &rec.rdata {
-                chain.push(rec.clone());
-                current = target.clone();
-                continue;
-            }
-        }
-        let ttl = resp.negative_ttl(r.config().default_negative_ttl);
-        r.cache().insert_negative(&current, rtype, Rcode::NoError, ttl, now);
-        return Ok(Resolution {
-            chain,
-            records: Vec::new(),
-            rrsigs: Vec::new(),
-            rcode: Rcode::NoError,
-            validation: None,
-            from_cache: false,
-        });
-    }
-    Err(ResolveError::ChainTooLong)
 }
 
 /// Drive a batch of distinct queries to completion on the current
@@ -380,7 +233,7 @@ async fn resolve_async(
 /// (its authoritative zone apex, interned to `0..zone_count` in
 /// first-appearance order); at most one query per group is in flight.
 pub(crate) fn drive(
-    resolver: &Arc<RecursiveResolver>,
+    resolver: &RecursiveResolver,
     distinct: &[&Query],
     zone_index: &[usize],
     zone_count: usize,
@@ -388,10 +241,10 @@ pub(crate) fn drive(
     assert_eq!(distinct.len(), zone_index.len());
     let clock = resolver.network().clock().clone();
     let core = Rc::new(Core { events: RefCell::new(BinaryHeap::new()), seq: Cell::new(0) });
-    let waker = Waker::from(Arc::new(NoopWake));
-    let mut poll_cx = Context::from_waker(&waker);
+    // Readiness is driver-managed (the loop knows exactly which task each
+    // popped event unblocks), so wakeups have nothing to do.
+    let mut poll_cx = Context::from_waker(Waker::noop());
     let attempt_timeout_ms = resolver.config().attempt_timeout_ms;
-    let retransmits = resolver.config().retransmits;
 
     let n = distinct.len();
     let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); zone_count];
@@ -402,7 +255,7 @@ pub(crate) fn drive(
     let mut results: Vec<Option<Result<Resolution, ResolveError>>> = (0..n).map(|_| None).collect();
     let mut spans = vec![(0u64, 0u64); n];
     let mut stats_of: Vec<Option<Rc<RefCell<EventLoopStats>>>> = (0..n).map(|_| None).collect();
-    type TaskFuture = Pin<Box<dyn Future<Output = Result<Resolution, ResolveError>>>>;
+    type TaskFuture<'a> = Pin<Box<dyn Future<Output = Result<Resolution, ResolveError>> + 'a>>;
     let mut active: HashMap<usize, TaskFuture> = HashMap::new();
 
     // Initial admission: the head query of every zone, in zone order
@@ -419,14 +272,14 @@ pub(crate) fn drive(
             spans[slot].0 = clock.now_ms().0;
             let ctx = TaskCtx {
                 core: Rc::clone(&core),
-                resolver: Arc::clone(resolver),
+                network: resolver.network(),
                 stats,
                 task: slot,
                 attempt_timeout_ms,
-                retransmits,
             };
             let q = distinct[slot];
-            let mut fut: TaskFuture = Box::pin(resolve_async(ctx, q.name.clone(), q.rtype));
+            let mut fut: TaskFuture =
+                Box::pin(async move { resolver.resolve_with(&ctx, q.name.clone(), q.rtype).await });
             match fut.as_mut().poll(&mut poll_cx) {
                 Poll::Ready(result) => {
                     spans[slot].1 = clock.now_ms().0;

@@ -9,14 +9,19 @@
 //! measures records through Google/Cloudflare public resolvers.
 
 use crate::cache::{CachedAnswer, EvictionPolicy, RecordCache};
+use crate::eventloop::EventLoopStats;
 use crate::selection::{NsSelector, SelectionStrategy};
-use authserver::DelegationRegistry;
+use authserver::{DelegationRegistry, NsEndpoint};
 use dns_wire::record::{DnskeyRdata, DsRdata, RrsigRdata};
 use dns_wire::{DnsName, Message, MessageView, RData, Rcode, Record, RecordType};
 use dnssec::{ChainSource, ValidationState, Validator};
 use netsim::{DatagramService, NetError, Network, Timestamp};
 use std::fmt;
+use std::future::Future;
+use std::net::IpAddr;
+use std::pin::pin;
 use std::sync::atomic::{AtomicU16, Ordering};
+use std::task::{Context, Poll, Waker};
 
 /// Resolver configuration.
 #[derive(Debug, Clone)]
@@ -144,6 +149,19 @@ pub struct Resolution {
 }
 
 impl Resolution {
+    /// An answerless resolution with `rcode` (NXDOMAIN, NODATA, or a
+    /// failure code), not served from cache.
+    fn negative(chain: Vec<Record>, rcode: Rcode) -> Resolution {
+        Resolution {
+            chain,
+            records: Vec::new(),
+            rrsigs: Vec::new(),
+            rcode,
+            validation: None,
+            from_cache: false,
+        }
+    }
+
     /// The Authenticated Data bit as a resolver would set it.
     pub fn ad(&self) -> bool {
         matches!(self.validation, Some(ValidationState::Secure))
@@ -152,6 +170,50 @@ impl Resolution {
     /// Whether any answer records were produced.
     pub fn is_positive(&self) -> bool {
         !self.records.is_empty()
+    }
+}
+
+/// The transport seam of the resolution core: how one authority attempt
+/// travels. [`RecursiveResolver::resolve`] uses the always-ready
+/// [`Immediate`] exchange; the event loop schedules each attempt in
+/// virtual time and may time it out ([`crate::eventloop`]).
+pub(crate) trait Exchange {
+    /// Send `wire` to `ip`:53 as attempt `attempt` (0 = first send,
+    /// then retransmissions) and yield the reply bytes.
+    fn exchange(
+        &self,
+        ip: IpAddr,
+        wire: &[u8],
+        attempt: u32,
+    ) -> impl Future<Output = Result<Vec<u8>, NetError>>;
+
+    /// Count one rung of the timeout → retransmit → NS-fallback ladder.
+    /// Only the event loop keeps these counts.
+    fn tally(&self, _rung: fn(&mut EventLoopStats)) {}
+}
+
+/// The synchronous exchange: one lossless [`Network::send_datagram`]
+/// call, ready at once. It never yields [`NetError::Timeout`], so the
+/// retransmit rungs of the ladder never fire on this path.
+struct Immediate<'a>(&'a Network);
+
+impl Exchange for Immediate<'_> {
+    fn exchange(
+        &self,
+        ip: IpAddr,
+        wire: &[u8],
+        _attempt: u32,
+    ) -> impl Future<Output = Result<Vec<u8>, NetError>> {
+        std::future::ready(self.0.send_datagram(ip, 53, wire))
+    }
+}
+
+/// Complete a core future over the [`Immediate`] exchange with a single
+/// poll: nothing in it can suspend.
+fn run_ready<T>(fut: impl Future<Output = T>) -> T {
+    match pin!(fut).poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(out) => out,
+        Poll::Pending => panic!("resolution core suspended on the synchronous Immediate exchange"),
     }
 }
 
@@ -205,27 +267,32 @@ impl RecursiveResolver {
         &self.registry
     }
 
-    /// The NS selector (shared with the event-loop backend so both
-    /// resolution paths consume one per-zone selection-state stream).
-    pub(crate) fn selector(&self) -> &NsSelector {
-        &self.selector
-    }
-
     /// This resolver's configuration.
     pub(crate) fn config(&self) -> &ResolverConfig {
         &self.config
     }
 
-    /// Allocate the next DNS transaction id.
-    pub(crate) fn next_query_id(&self) -> u16 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
+    /// Resolve `(name, rtype)` at the current simulated time: the
+    /// resolution core over the lossless synchronous exchange, which
+    /// never touches the link model.
+    pub fn resolve(&self, name: &DnsName, rtype: RecordType) -> Result<Resolution, ResolveError> {
+        run_ready(self.resolve_with(&Immediate(&self.network), name.clone(), rtype))
     }
 
-    /// Resolve `(name, rtype)` at the current simulated time.
-    pub fn resolve(&self, name: &DnsName, rtype: RecordType) -> Result<Resolution, ResolveError> {
+    /// The resolution core, shared by [`resolve`](Self::resolve) and the
+    /// event loop ([`crate::eventloop`]): cache check, CNAME step, one
+    /// authority round over `ex`, negative caching, and `finish`. `now`
+    /// is read once, so every cache decision of one resolution sees the
+    /// same instant even when `ex` suspends in virtual time.
+    pub(crate) async fn resolve_with(
+        &self,
+        ex: &impl Exchange,
+        name: DnsName,
+        rtype: RecordType,
+    ) -> Result<Resolution, ResolveError> {
         let now = self.network.clock().now();
         let mut chain: Vec<Record> = Vec::new();
-        let mut current = name.clone();
+        let mut current = name;
         let mut from_cache = true;
 
         for _ in 0..=self.config.max_cname_chain {
@@ -250,31 +317,18 @@ impl RecursiveResolver {
             from_cache = false;
 
             // 3. Query the authority.
-            let resp = self.query_authority(&current, rtype)?;
-            match resp.rcode {
-                Rcode::NoError => {}
-                Rcode::NxDomain => {
+            let (apex, endpoints) = self
+                .registry
+                .find_authority(&current)
+                .ok_or_else(|| ResolveError::NoAuthority(current.clone()))?;
+            let resp =
+                self.authority_round(ex, &apex.key(), &apex, &endpoints, &current, rtype).await?;
+            if resp.rcode != Rcode::NoError {
+                if resp.rcode == Rcode::NxDomain {
                     let ttl = resp.negative_ttl(self.config.default_negative_ttl);
                     self.cache.insert_negative(&current, rtype, Rcode::NxDomain, ttl, now);
-                    return Ok(Resolution {
-                        chain,
-                        records: Vec::new(),
-                        rrsigs: Vec::new(),
-                        rcode: Rcode::NxDomain,
-                        validation: None,
-                        from_cache: false,
-                    });
                 }
-                other => {
-                    return Ok(Resolution {
-                        chain,
-                        records: Vec::new(),
-                        rrsigs: Vec::new(),
-                        rcode: other,
-                        validation: None,
-                        from_cache: false,
-                    });
-                }
+                return Ok(Resolution::negative(chain, resp.rcode));
             }
 
             // Cache every RRset in the answer section (covers the case
@@ -304,19 +358,12 @@ impl RecursiveResolver {
             // NODATA.
             let ttl = resp.negative_ttl(self.config.default_negative_ttl);
             self.cache.insert_negative(&current, rtype, Rcode::NoError, ttl, now);
-            return Ok(Resolution {
-                chain,
-                records: Vec::new(),
-                rrsigs: Vec::new(),
-                rcode: Rcode::NoError,
-                validation: None,
-                from_cache: false,
-            });
+            return Ok(Resolution::negative(chain, Rcode::NoError));
         }
         Err(ResolveError::ChainTooLong)
     }
 
-    pub(crate) fn finish(
+    fn finish(
         &self,
         chain: Vec<Record>,
         ans: CachedAnswer,
@@ -332,59 +379,90 @@ impl RecursiveResolver {
                 };
                 Resolution { chain, records, rrsigs, rcode: Rcode::NoError, validation, from_cache }
             }
-            CachedAnswer::Negative { rcode } => Resolution {
-                chain,
-                records: Vec::new(),
-                rrsigs: Vec::new(),
-                rcode,
-                validation: None,
-                from_cache,
-            },
+            CachedAnswer::Negative { rcode } => {
+                Resolution { from_cache, ..Resolution::negative(chain, rcode) }
+            }
         }
     }
 
-    /// One authoritative round: select endpoints for the deepest zone and
-    /// try them in fallback order.
-    fn query_authority(
+    /// One authoritative round: query `name`/`rtype` against `endpoints`
+    /// in the selector's fallback order for `key`, climbing the timeout →
+    /// retransmit → NS-fallback ladder. Refused, malformed and
+    /// network-failed replies move on to the next endpoint at once; a
+    /// timed-out attempt is retransmitted up to `retransmits` times
+    /// first. `zone` names the authority in the errors.
+    async fn authority_round(
         &self,
+        ex: &impl Exchange,
+        key: &str,
+        zone: &DnsName,
+        endpoints: &[NsEndpoint],
         name: &DnsName,
         rtype: RecordType,
     ) -> Result<AuthorityReply, ResolveError> {
-        let (apex, endpoints) = self
-            .registry
-            .find_authority(name)
-            .ok_or_else(|| ResolveError::NoAuthority(name.clone()))?;
-        let order = self.selector.pick_order(&apex.key(), &endpoints);
+        let order = self.selector.pick_order(key, endpoints);
         if order.is_empty() {
             return Err(ResolveError::NoAuthority(name.clone()));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let query = Message::query_dnssec(id, name.clone(), rtype);
-        let wire = query.encode();
-        let mut last_err = ResolveError::Lame(apex.clone());
-        for ep in order {
-            match self.network.send_datagram(ep.ip, 53, &wire) {
-                Ok(bytes) => match AuthorityReply::parse(&bytes) {
-                    Some(resp) if resp.rcode == Rcode::Refused => {
-                        last_err = ResolveError::Lame(apex.clone());
-                        continue;
+        let wire = Message::query_dnssec(id, name.clone(), rtype).encode();
+        let mut last_err = ResolveError::Lame(zone.clone());
+        let mut timed_out = 0u32;
+        for (i, ep) in order.iter().enumerate() {
+            if i > 0 {
+                ex.tally(|s| s.ns_fallbacks += 1);
+            }
+            let mut attempt = 0u32;
+            loop {
+                match ex.exchange(ep.ip, &wire, attempt).await {
+                    Ok(bytes) => match AuthorityReply::parse(&bytes) {
+                        Some(resp) if resp.rcode == Rcode::Refused => {
+                            last_err = ResolveError::Lame(zone.clone());
+                            break;
+                        }
+                        Some(resp) => return Ok(resp),
+                        None => {
+                            last_err = ResolveError::Malformed;
+                            break;
+                        }
+                    },
+                    Err(NetError::Timeout) => {
+                        ex.tally(|s| s.timeouts += 1);
+                        timed_out += 1;
+                        last_err =
+                            ResolveError::Timeout { zone: zone.clone(), attempts: timed_out };
+                        if attempt >= self.config.retransmits {
+                            break; // budget exhausted: fall back to the next NS
+                        }
+                        attempt += 1;
+                        ex.tally(|s| s.retransmits += 1);
                     }
-                    Some(resp) => return Ok(resp),
-                    None => {
-                        last_err = ResolveError::Malformed;
-                        continue;
+                    Err(e) => {
+                        last_err = ResolveError::Network(e);
+                        break;
                     }
-                },
-                Err(e) => {
-                    last_err = ResolveError::Network(e);
-                    continue;
                 }
             }
         }
         Err(last_err)
     }
 
-    pub(crate) fn cache_answer_sections(&self, answers: &[Record], now: Timestamp) {
+    /// A DNSSEC chain fetch: one synchronous authority round, with every
+    /// failure folded into `None` (the validator treats a missing key or
+    /// DS set as an unvalidatable chain).
+    fn chain_fetch(
+        &self,
+        key: &str,
+        zone: &DnsName,
+        endpoints: &[NsEndpoint],
+        name: &DnsName,
+        rtype: RecordType,
+    ) -> Option<AuthorityReply> {
+        let sync = Immediate(&self.network);
+        run_ready(self.authority_round(&sync, key, zone, endpoints, name, rtype)).ok()
+    }
+
+    fn cache_answer_sections(&self, answers: &[Record], now: Timestamp) {
         use std::collections::HashMap;
         let mut sets: HashMap<(String, u16), Vec<Record>> = HashMap::new();
         for rec in answers {
@@ -433,7 +511,9 @@ impl ChainSource for ResolverChainSource<'_> {
             Some(CachedAnswer::Positive { records, rrsigs }) => (records, rrsigs),
             Some(CachedAnswer::Negative { .. }) => return None,
             None => {
-                let resp = r.query_authority(zone, RecordType::Dnskey).ok()?;
+                let (apex, endpoints) = r.registry.find_authority(zone)?;
+                let resp =
+                    r.chain_fetch(&apex.key(), &apex, &endpoints, zone, RecordType::Dnskey)?;
                 r.cache_answer_sections(&resp.answers, now);
                 let records = extract_rrset(&resp.answers, zone, RecordType::Dnskey);
                 if records.is_empty() {
@@ -467,23 +547,9 @@ impl ChainSource for ResolverChainSource<'_> {
             Some(CachedAnswer::Negative { .. }) => return None,
             None => {
                 // DS lives in the parent zone.
-                let (_, endpoints) = r.registry.find_parent_authority(zone)?;
-                let order = r.selector.pick_order(&format!("ds:{}", zone.key()), &endpoints);
-                let id = r.next_id.fetch_add(1, Ordering::Relaxed);
-                let query = Message::query_dnssec(id, zone.clone(), RecordType::Ds);
-                let wire = query.encode();
-                let mut found: Option<AuthorityReply> = None;
-                for ep in order {
-                    if let Ok(bytes) = r.network.send_datagram(ep.ip, 53, &wire) {
-                        if let Some(resp) = AuthorityReply::parse(&bytes) {
-                            if resp.rcode != Rcode::Refused {
-                                found = Some(resp);
-                                break;
-                            }
-                        }
-                    }
-                }
-                let resp = found?;
+                let (parent, endpoints) = r.registry.find_parent_authority(zone)?;
+                let key = format!("ds:{}", zone.key());
+                let resp = r.chain_fetch(&key, &parent, &endpoints, zone, RecordType::Ds)?;
                 let records = extract_rrset(&resp.answers, zone, RecordType::Ds);
                 if records.is_empty() {
                     let ttl = resp.negative_ttl(r.config.default_negative_ttl);
@@ -554,9 +620,9 @@ impl DatagramService for RecursiveResolver {
 /// are materialized (they feed the [`RecordCache`]); the authority
 /// section is scanned lazily for the first SOA's negative TTL, and
 /// additional-section rdata is never decoded at all.
-pub(crate) struct AuthorityReply {
-    pub(crate) rcode: Rcode,
-    pub(crate) answers: Vec<Record>,
+struct AuthorityReply {
+    rcode: Rcode,
+    answers: Vec<Record>,
     /// `min(SOA minimum, SOA TTL)` from the authority section, if any.
     soa_negative_ttl: Option<u32>,
 }
@@ -564,7 +630,7 @@ pub(crate) struct AuthorityReply {
 impl AuthorityReply {
     /// Parse a response datagram. `None` means malformed: a structural
     /// error anywhere, or undecodable rdata in a record we consume.
-    pub(crate) fn parse(bytes: &[u8]) -> Option<AuthorityReply> {
+    fn parse(bytes: &[u8]) -> Option<AuthorityReply> {
         let view = MessageView::parse(bytes).ok()?;
         let mut answers = Vec::with_capacity(view.answer_count());
         for rec in view.answers() {
@@ -585,20 +651,16 @@ impl AuthorityReply {
         Some(AuthorityReply { rcode: view.rcode(), answers, soa_negative_ttl })
     }
 
-    pub(crate) fn negative_ttl(&self, default: u32) -> u32 {
+    fn negative_ttl(&self, default: u32) -> u32 {
         self.soa_negative_ttl.unwrap_or(default)
     }
 }
 
-pub(crate) fn extract_rrset(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<Record> {
+fn extract_rrset(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<Record> {
     answers.iter().filter(|r| r.rtype == rtype && r.name == *name).cloned().collect()
 }
 
-pub(crate) fn extract_rrsigs(
-    answers: &[Record],
-    name: &DnsName,
-    rtype: RecordType,
-) -> Vec<RrsigRdata> {
+fn extract_rrsigs(answers: &[Record], name: &DnsName, rtype: RecordType) -> Vec<RrsigRdata> {
     answers
         .iter()
         .filter(|r| r.rtype == RecordType::Rrsig && r.name == *name)

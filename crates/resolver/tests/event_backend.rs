@@ -21,7 +21,8 @@ use dns_wire::{DnsName, RData, Record, RecordType};
 use ecosystem::{EcosystemConfig, World};
 use netsim::{LinkModel, Network, SimClock};
 use resolver::{
-    EngineBackend, Query, QueryEngine, Resolution, ResolveError, ResolverConfig, SelectionStrategy,
+    EngineBackend, Query, QueryEngine, RecursiveResolver, Resolution, ResolveError, ResolverConfig,
+    SelectionStrategy,
 };
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -356,4 +357,41 @@ fn slow_endpoint_times_out_but_fast_fallback_wins() {
     assert_eq!(stats.drops, 0);
     assert_eq!(stats.timeouts, u64::from(retransmits) + 1);
     assert_eq!(stats.ns_fallbacks, 1);
+}
+
+#[test]
+fn sync_resolve_never_reaches_the_link_model() {
+    // The only NS is mute on the link model. `RecursiveResolver::resolve`
+    // runs the shared core over the lossless synchronous exchange, so it
+    // still answers, in zero virtual time and with nothing dropped; the
+    // event loop on the same network climbs the whole ladder and times out.
+    let (net, reg) = two_server_world();
+    reg.delegate(&name("a.com"), vec![NsEndpoint { name: name("ns1.x.net"), ip: ip("10.0.0.1") }]);
+    net.set_latency_model(LinkModel::new(3).with_rtt_ms(20).with_lame_endpoint(ip("10.0.0.1")));
+    let config = ResolverConfig { validate: false, ..Default::default() };
+    let retransmits = config.retransmits;
+
+    let sync = RecursiveResolver::new(net.clone(), reg.clone(), config.clone());
+    let res =
+        sync.resolve(&name("a.com"), RecordType::A).expect("sync path ignores the link model");
+    assert_eq!(res.records.len(), 1);
+    assert_eq!(net.clock().now_ms().0, 0);
+    assert_eq!(net.stats().datagrams_dropped, 0);
+
+    let engine = QueryEngine::new(
+        net.clone(),
+        reg,
+        ResolverConfig { backend: EngineBackend::EventLoop, ..config },
+    );
+    let queries = vec![Query::new(name("a.com"), RecordType::A)];
+    let (results, timing) = engine.resolve_batch_timed(&queries, 1);
+    match &results[0] {
+        Err(ResolveError::Timeout { zone, attempts }) => {
+            assert_eq!(zone, &name("a.com"));
+            assert_eq!(*attempts, retransmits + 1);
+        }
+        other => panic!("expected a timeout on the event loop, got {other:?}"),
+    }
+    assert_eq!(timing.unwrap().stats.ns_fallbacks, 0);
+    assert!(net.stats().datagrams_dropped > 0);
 }

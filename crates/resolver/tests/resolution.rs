@@ -274,3 +274,54 @@ fn mixed_provider_ns_set_yields_intermittent_https() {
     assert!(seen.contains(&true), "HTTPS record never observed: {seen:?}");
     assert!(seen.contains(&false), "HTTPS record always observed: {seen:?}");
 }
+
+#[test]
+fn dnssec_fetches_fail_over_past_dead_parent_and_lame_zone_endpoints() {
+    // The DS fetch (parent `com` endpoints under its own `ds:` selection
+    // key) and the DNSKEY fetches (each zone's own endpoints) run the same
+    // authority round as the query: a dead first `com` endpoint and a
+    // lame (REFUSED) first `a.com` NS are skipped, and the chain still
+    // validates through the second endpoints.
+    for strategy in [SelectionStrategy::First, SelectionStrategy::RoundRobin] {
+        let (net, reg, _) = world(true);
+        net.set_unreachable(ip("10.99.0.1"));
+        reg.delegate(
+            &name("com"),
+            vec![
+                NsEndpoint { name: name("dead.gtld-servers.net"), ip: ip("10.99.0.1") },
+                NsEndpoint { name: name("a.gtld-servers.net"), ip: ip("192.5.6.30") },
+            ],
+        );
+        // A server with no zones answers REFUSED: a lame delegation.
+        net.bind_datagram(ip("10.99.0.2"), 53, Arc::new(AuthoritativeServer::new(ZoneSet::new())));
+        reg.delegate(
+            &name("a.com"),
+            vec![
+                NsEndpoint { name: name("ns-lame.x.net"), ip: ip("10.99.0.2") },
+                NsEndpoint { name: name("ns1.cloudflare.com"), ip: ip("173.245.58.1") },
+            ],
+        );
+        let r = RecursiveResolver::new(
+            net.clone(),
+            reg.clone(),
+            ResolverConfig { strategy, ..Default::default() },
+        );
+        let res = r.resolve(&name("a.com"), RecordType::Https).unwrap();
+        assert_eq!(res.records.len(), 1, "{strategy:?}");
+        assert_eq!(res.validation, Some(ValidationState::Secure), "{strategy:?}");
+        assert!(res.ad());
+        // Both `com` fetches (DS a.com under `ds:a.com`, DNSKEY com under
+        // `com`) start at the dead endpoint under either strategy.
+        assert_eq!(net.stats().connect_failures, 2, "{strategy:?}");
+        let now = net.clock().now();
+        for (zone, rtype) in [("a.com", RecordType::Ds), ("a.com", RecordType::Dnskey)] {
+            assert!(
+                matches!(
+                    r.cache().get(&name(zone), rtype, now),
+                    Some(resolver::CachedAnswer::Positive { .. })
+                ),
+                "{zone} {rtype} not fetched ({strategy:?})"
+            );
+        }
+    }
+}
